@@ -23,7 +23,6 @@ Each engine supports two execution styles, mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Protocol, Sequence, runtime_checkable
 
 from repro.core.admission import AdmissionPolicy, AlwaysAdmit
@@ -32,31 +31,12 @@ from repro.core.config import AsteriaConfig
 from repro.core.metrics import EngineMetrics
 from repro.core.prefetch import MarkovPrefetcher, QuerySignature
 from repro.core.recalibration import ThresholdRecalibrator
-from repro.core.resilience import FetchFailed, ResilienceManager
+from repro.core import pipeline
+from repro.core.pipeline import EngineResponse
+from repro.core.resilience import ResilienceManager
 from repro.core.types import CacheLookup, FetchResult, Query
 from repro.embedding.tokenizer import SimpleTokenizer
 from repro.network.remote import RemoteDataService, RemoteFetchError
-
-
-@dataclass(frozen=True, slots=True)
-class EngineResponse:
-    """What the agent gets back for one tool call.
-
-    ``degraded`` is None on the normal path; a fault-degraded response sets
-    it to ``"stale_hit"`` (served from the last-known-good store, possibly
-    past its TTL) or ``"failed"`` (no fallback available — ``result`` is
-    empty and the caller must handle the miss itself).
-    """
-
-    result: str
-    latency: float
-    lookup: CacheLookup
-    fetch: FetchResult | None = None
-    degraded: str | None = None
-
-    @property
-    def served_from_cache(self) -> bool:
-        return self.lookup.is_hit
 
 
 @runtime_checkable
@@ -233,69 +213,6 @@ class AsteriaEngine:
             self.trace.record(now, query, response)
         self.metrics.degraded_latency.add(response.latency)
 
-    def _degrade_analytic(
-        self,
-        query: Query,
-        lookup: CacheLookup,
-        key: tuple,
-        at: float,
-        wasted: float = 0.0,
-        refresh: bool = False,
-    ) -> EngineResponse:
-        """Build the degraded response for a refused or failed miss flight.
-
-        Serves the last-known-good result as an explicit ``stale_hit`` when
-        one exists (scheduling a stale-while-revalidate refresh when
-        ``refresh`` is set and the breaker grants a probe), else an explicit
-        ``failed`` response. ``wasted`` is the simulated time the failed
-        flight burned; the caller records the response.
-        """
-        entry = self.resilience.stale_for(key, at + wasted)
-        if entry is not None:
-            self.metrics.stale_hits += 1
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-            if refresh and self.resilience.allow_probe(at + wasted):
-                self._background_refresh_analytic(query, key, at + wasted)
-        else:
-            self.metrics.failed_requests += 1
-            response = EngineResponse(
-                result="",
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="failed",
-            )
-        return response
-
-    def _background_refresh_analytic(
-        self, query: Query, key: tuple, now: float
-    ) -> None:
-        """Stale-while-revalidate, analytic mode: the refresh flight runs
-        inline (there is no background to run it in) but charges nothing to
-        the request being served stale."""
-        self.metrics.background_refreshes += 1
-        tracer = self.tracer
-        if tracer is None or not tracer.live:
-            self._refresh_analytic(query, key, now)
-            return
-        with tracer.span("stale_refresh"):
-            self._refresh_analytic(query, key, now)
-
-    def _refresh_analytic(self, query: Query, key: tuple, now: float) -> None:
-        try:
-            fetch = self.remote.fetch_at(query, now)
-        except RemoteFetchError as exc:
-            self._account_failure(key, exc, now + exc.latency)
-            return
-        arrival = now + fetch.latency
-        self.resilience.on_success(key, fetch, arrival)
-        if self._should_admit(query, fetch, arrival):
-            self.cache.insert(query, fetch, arrival)
-
     def _fingerprint(self, query: Query):
         """Semantic identity proxy for coalescing (content stems + tool)."""
         return (
@@ -348,36 +265,29 @@ class AsteriaEngine:
         judged = sine_result.judged
         check_latency = self.config.cache_check_latency(judged)
         element = sine_result.match
-        if element is not None:
+        if element is None:
+            status, result, element_id, truth_match = "miss", None, None, None
+        else:
+            status, result, element_id = "hit", element.value, element.element_id
             truth_match = _is_correct(element.truth_key, query.fact_id)
             if sine_result.verdicts:
                 accepted = sine_result.verdicts[-1]
                 self._eval_log.append(
                     (query.text, accepted.score, element.truth_key, query.fact_id)
                 )
-            lookup = CacheLookup(
-                status="hit",
-                result=element.value,
-                latency=check_latency,
-                ann_latency=self.config.ann_latency,
-                judge_latency=check_latency - self.config.ann_latency,
-                candidates=len(sine_result.candidates),
-                judged=judged,
-                element_id=element.element_id,
-                truth_match=truth_match,
-            )
             if element.prefetched and element.frequency == 1:
                 self.metrics.prefetch_hits += 1
-        else:
-            lookup = CacheLookup(
-                status="miss",
-                result=None,
-                latency=check_latency,
-                ann_latency=self.config.ann_latency,
-                judge_latency=check_latency - self.config.ann_latency,
-                candidates=len(sine_result.candidates),
-                judged=judged,
-            )
+        lookup = CacheLookup(
+            status=status,
+            result=result,
+            latency=check_latency,
+            ann_latency=self.config.ann_latency,
+            judge_latency=check_latency - self.config.ann_latency,
+            candidates=len(sine_result.candidates),
+            judged=judged,
+            element_id=element_id,
+            truth_match=truth_match,
+        )
         return lookup, element
 
     def _record_response(
@@ -429,7 +339,7 @@ class AsteriaEngine:
             self.recalibrator.fine_tune(self.cache.sine.judger)
         self.metrics.recalibrations += 1
 
-    # -- analytic execution ----------------------------------------------------------
+    # -- analytic execution: the inline driver of the request core -------------
     def handle(self, query: Query, now: float = 0.0) -> EngineResponse:
         """Resolve one query analytically starting at simulated time ``now``.
 
@@ -437,109 +347,7 @@ class AsteriaEngine:
         open breaker all degrade into an explicit ``stale_hit``/``failed``
         response instead of escaping the serve loop.
         """
-        tracer = self.tracer
-        if tracer is None or not tracer.sample():
-            return self._handle_analytic(query, now)
-        with tracer.request() as span:
-            response = self._handle_analytic(query, now)
-            # One dict literal instead of request(tool=...) + set(outcome=...):
-            # two kwargs allocations per request add up at tracing's budget.
-            span.attrs = {
-                "tool": query.tool,
-                "outcome": response.degraded or response.lookup.status,
-            }
-            return response
-
-    def _handle_analytic(self, query: Query, now: float) -> EngineResponse:
-        self._maybe_recalibrate(now)
-        if not self._is_cacheable(query):
-            return self._bypass_analytic(query, now)
-        lookup, element = self._lookup(query, now)
-        return self._complete_analytic(query, now, lookup, element)
-
-    def _bypass_analytic(self, query: Query, now: float) -> EngineResponse:
-        key = self._resilience_key(query)
-        try:
-            fetch = self.remote.fetch_at(query, now)
-        except RemoteFetchError as exc:
-            self._account_failure(key, exc, now + exc.latency)
-            lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-            response = self._degrade_analytic(
-                query, lookup, key, now, wasted=exc.latency
-            )
-            self._record_degraded(response, query, now)
-            return response
-        self.resilience.on_success(key, fetch, now + fetch.latency)
-        response = self._bypass_response(fetch, fetch.latency)
-        self._record_response(response, query, now)
-        return response
-
-    def _complete_analytic(
-        self, query: Query, now: float, lookup: CacheLookup, element
-    ) -> EngineResponse:
-        """Everything after the lookup: remote fetch, admission, metrics,
-        prefetch — shared by :meth:`handle` and :meth:`handle_batch`."""
-        if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=lookup.latency, lookup=lookup
-            )
-        else:
-            response = self._resolve_miss_analytic(query, now, lookup)
-            if response.degraded is not None:
-                self._record_degraded(response, query, now)
-                return response
-        self._record_response(response, query, now)
-        canonical = element.key if element is not None else query.text
-        self._run_prefetch_analytic(query, now, canonical)
-        return response
-
-    def _resolve_miss_analytic(
-        self, query: Query, now: float, lookup: CacheLookup
-    ) -> EngineResponse:
-        """The guarded miss path: breaker/negative-cache gate, then a remote
-        flight with transient-fault retries, degrading on refusal/failure."""
-        key = self._resilience_key(query)
-        start = now + lookup.latency
-        verdict = self.resilience.admit(key, start)
-        if verdict != "allow":
-            if verdict == "negative":
-                self.metrics.negative_cache_hits += 1
-            else:
-                self.metrics.breaker_open_rejects += 1
-            return self._degrade_analytic(query, lookup, key, start, refresh=True)
-        tracer = self.tracer
-        try:
-            if tracer is None or not tracer.live or not tracer.active():
-                fetch, overhead = self.resilience.fetch_with_retries(
-                    lambda t: self.remote.fetch_at(query, t), start
-                )
-            else:
-                t0 = tracer.clock()
-                fetch, overhead = self.resilience.fetch_with_retries(
-                    lambda t: self.remote.fetch_at(query, t), start
-                )
-                tracer.record_leaf(
-                    "remote_fetch", t0, {"retries": fetch.retries, "cost": fetch.cost}
-                )
-        except FetchFailed as exc:
-            self._account_failure(key, exc, start + exc.latency)
-            return self._degrade_analytic(
-                query, lookup, key, start, wasted=exc.latency
-            )
-        arrival = start + overhead + fetch.latency
-        self.resilience.on_success(key, fetch, arrival)
-        if self._should_admit(query, fetch, arrival):
-            if tracer is None or not tracer.live:
-                self.cache.insert(query, fetch, arrival)
-            else:
-                with tracer.span("admit"):
-                    self.cache.insert(query, fetch, arrival)
-        return EngineResponse(
-            result=fetch.result,
-            latency=lookup.latency + overhead + fetch.latency,
-            lookup=lookup,
-            fetch=fetch,
-        )
+        return pipeline.drive(pipeline.request(self, query, now), self._apply)
 
     def handle_batch(
         self, queries: Sequence[Query], now: float = 0.0
@@ -559,93 +367,63 @@ class AsteriaEngine:
         latency argument rests on — keep the fully shared fast path.
         """
         queries = list(queries)
-        if not queries:
-            return []
-        embed_rows: dict[int, int] = {}
-        texts: list[str] = []
-        for position, query in enumerate(queries):
-            if self._is_cacheable(query):
-                embed_rows[position] = len(texts)
-                texts.append(query.text)
-        batch_hits: list[list] = []
-        snapshot_stamp = None
-        if texts:
-            self.cache.remove_expired(now)
-            # The cache owns the stage-1 batching (a sharded cache groups the
-            # texts so each shard still gets one embed+ANN pass).
-            batch_hits = self.cache.prepare_batch(texts)
-            snapshot_stamp = self._mutation_stamp()
-        responses: list[EngineResponse] = []
-        tracer = self.tracer
-        for position, query in enumerate(queries):
-            row = embed_rows.get(position)
-            if tracer is None or not tracer.sample():
-                responses.append(
-                    self._batch_one(query, now, row, batch_hits, snapshot_stamp)
-                )
-                continue
-            with tracer.request() as span:
-                response = self._batch_one(
-                    query, now, row, batch_hits, snapshot_stamp
-                )
-                span.attrs = {
-                    "tool": query.tool,
-                    "batched": True,
-                    "outcome": response.degraded or response.lookup.status,
-                }
-                responses.append(response)
-        return responses
+        prepared = self._prepare_batch(queries, now)
+        return [
+            pipeline.drive(
+                pipeline.request(self, query, now, snapshot, batched=True),
+                self._apply,
+            )
+            for query, snapshot in zip(queries, prepared)
+        ]
 
-    def _batch_one(
-        self,
-        query: Query,
-        now: float,
-        row: int | None,
-        batch_hits: list,
-        snapshot_stamp,
-    ) -> EngineResponse:
-        """Complete one batched query through the scalar code path."""
-        self._maybe_recalibrate(now)
-        if row is None:
-            return self._bypass_analytic(query, now)
-        if self._mutation_stamp() != snapshot_stamp:
-            sine_result = self.cache.lookup(
-                query, now, ann_only=self.config.ann_only
-            )
-        else:
-            sine_result = self.cache.lookup_prepared(
-                query, batch_hits[row], now, ann_only=self.config.ann_only
-            )
-        lookup, element = self._lookup_record(query, sine_result)
-        return self._complete_analytic(query, now, lookup, element)
+    def _prepare_batch(self, queries: Sequence[Query], now: float) -> list:
+        """One shared embed + ANN pass over the cacheable ``queries``.
+
+        Returns, per query, the ``(hits, stamp)`` snapshot the request core
+        validates before trusting it (None for uncacheable queries). The
+        cache owns the stage-1 batching (a sharded cache groups the texts so
+        each shard still gets one embed+ANN pass).
+        """
+        cacheable = [self._is_cacheable(query) for query in queries]
+        texts = [query.text for query, ok in zip(queries, cacheable) if ok]
+        if not texts:
+            return [None] * len(queries)
+        self.cache.remove_expired(now)
+        batch_hits = iter(self.cache.prepare_batch(texts))
+        stamp = self._mutation_stamp()
+        return [(next(batch_hits), stamp) if ok else None for ok in cacheable]
 
     def _mutation_stamp(self) -> tuple[int, int, int]:
         """Cache-population fingerprint for batch snapshot invalidation."""
         stats = self.cache.stats
         return (stats.inserts, stats.evictions, stats.expirations)
 
-    def _run_prefetch_analytic(
-        self, query: Query, now: float, canonical: str
-    ) -> None:
-        if self.prefetcher is None:
-            return
-        for signature in self.prefetcher.observe(query, canonical):
-            target = signature.to_query()
-            if self.cache.contains_semantic(target):
-                continue
-            try:
-                fetch = self.remote.fetch_at(target, now)
-            except RemoteFetchError as exc:
-                # Prefetches are speculative: a failed one is dropped, but
-                # the breaker still learns about the backend.
-                self._account_failure(
-                    self._resilience_key(target), exc, now + exc.latency
+    def _apply(self, effect):
+        """Perform one request-core effect inline (simulated time only)."""
+        kind = type(effect)
+        if kind is pipeline.Lookup:
+            if effect.hits is None:
+                return self.cache.lookup(
+                    effect.query, effect.now, ann_only=self.config.ann_only
                 )
-                continue
-            self.cache.insert(
-                target, fetch, now + fetch.latency, prefetched=True
+            return self.cache.lookup_prepared(
+                effect.query, effect.hits, effect.now, ann_only=self.config.ann_only
             )
-            self.metrics.prefetches_issued += 1
+        if kind is pipeline.Fetch:
+            return self.remote.fetch_at(effect.query, effect.at)
+        if kind is pipeline.Admit:
+            self.cache.insert(
+                effect.query, effect.fetch, effect.arrival,
+                prefetched=effect.prefetched,
+            )
+        elif kind is pipeline.Flight:
+            return pipeline.drive(effect.leader, self._apply), False
+        elif kind is pipeline.Spawn:
+            # No background to run it in: the task runs now, charged to no
+            # request's latency.
+            pipeline.drive(effect.task, self._apply)
+        # Sleep: backoff is simulated time the core already charged.
+        return None
 
     # -- discrete-event execution --------------------------------------------------------
     def process(self, sim, query: Query) -> Generator:

@@ -20,10 +20,11 @@ one :class:`ResilienceManager`:
   open or retries are exhausted, engines serve from this store as an explicit
   ``stale_hit`` and schedule a background refresh (stale-while-revalidate),
   mirroring the last-known-good fallback in ``mozilla/remote-settings``.
-* Retry unification — transient faults are retried on the existing
+* Retry policy — transient faults are retried on the existing
   :class:`~repro.network.remote.RetryPolicy` shape (a short, bounded budget
   by default: degraded mode should fail over to stale data quickly, not
-  inherit the throttling loop's effectively unbounded patience).
+  inherit the throttling loop's effectively unbounded patience). The loop
+  itself is the request core's (:mod:`repro.core.pipeline`).
 
 Everything here is deterministic given its seed and never touches the
 hit/miss counters; degraded outcomes are accounted separately by the engines
@@ -35,12 +36,10 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from threading import Lock
-from typing import Callable
 
 import numpy as np
 
 from repro.core.types import FetchResult
-from repro.network.faults import InjectedFault
 from repro.network.remote import RemoteFetchError, RetryPolicy
 
 
@@ -384,42 +383,6 @@ class ResilienceManager:
         the policy's jitter is zero."""
         with self._lock:
             return self.retry_policy.delay(attempt, self.rng)
-
-    # -- analytic retry loop ------------------------------------------------
-    def fetch_with_retries(
-        self, fetch_fn: Callable[[float], FetchResult], start: float
-    ) -> tuple[FetchResult, float]:
-        """Run one flight with transient-fault retries (analytic mode).
-
-        ``fetch_fn(now)`` performs the fetch as of simulated time ``now``.
-        Injected transient faults are retried up to the policy's budget with
-        backoff; anything else (e.g. ``RateLimitExceeded``) fails
-        immediately. Returns ``(fetch, overhead)`` where ``overhead`` is the
-        simulated time burned on failed attempts and backoff before the
-        successful one; raises :class:`FetchFailed` carrying the total wasted
-        time otherwise.
-        """
-        elapsed = 0.0
-        attempt = 0
-        while True:
-            try:
-                return fetch_fn(start + elapsed), elapsed
-            except InjectedFault as exc:
-                elapsed += exc.latency
-                if attempt >= self.retry_policy.max_retries:
-                    raise FetchFailed(
-                        f"retries exhausted after {attempt + 1} attempts: {exc}",
-                        latency=elapsed,
-                        cause=exc,
-                    ) from exc
-                elapsed += self.next_delay(attempt)
-                attempt += 1
-            except RemoteFetchError as exc:
-                raise FetchFailed(
-                    f"non-retryable fetch failure: {exc}",
-                    latency=elapsed + exc.latency,
-                    cause=exc,
-                ) from exc
 
     def __repr__(self) -> str:
         return (

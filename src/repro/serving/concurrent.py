@@ -13,10 +13,13 @@ phenomenon in virtual time):
   :class:`~repro.serving.singleflight.SingleFlight` — the leader fetches and
   admits, followers block and reuse the result (counted in
   ``metrics.coalesced_misses``).
-* :class:`~repro.core.metrics.EngineMetrics` updates happen under one small
+* The request itself is the shared core of :mod:`repro.core.pipeline`;
+  this engine is its *thread driver*. Core steps (every decision and every
+  :class:`~repro.core.metrics.EngineMetrics` update) run under one small
   record lock, so counters and latency reservoirs are exact under any
-  interleaving; :meth:`EngineMetrics.merge` additionally supports per-worker
-  accumulation for callers that want lock-free recording.
+  interleaving; the effects they ask for (lookup, fetch, backoff, insert)
+  run outside it. :meth:`EngineMetrics.merge` additionally supports
+  per-worker accumulation for callers that want lock-free recording.
 
 ``io_pause_scale`` maps each fetch's *simulated* remote latency to a real
 wall-clock pause (``time.sleep`` releases the GIL, exactly like the socket
@@ -27,19 +30,17 @@ throughput scales with workers until compute saturates the cores.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.cache import canonical_text
+from repro.core import pipeline
 from repro.core.engine import AsteriaEngine, EngineResponse
-from repro.core.metrics import EngineMetrics
-from repro.core.resilience import FetchFailed
-from repro.core.types import CacheLookup, FetchResult, Query
-from repro.network.faults import InjectedFault
+from repro.core.types import Query
 from repro.network.remote import RemoteFetchError
 from repro.serving.singleflight import SingleFlight
 
@@ -90,7 +91,7 @@ class LoadReport:
         }
 
 
-class ConcurrentEngine:
+class ConcurrentEngine(pipeline.Driver):
     """Thread-pool serving front-end over an :class:`AsteriaEngine`.
 
     Parameters
@@ -98,9 +99,8 @@ class ConcurrentEngine:
     engine:
         The wrapped engine. With ``workers > 1`` its cache must be
         thread-safe (a :class:`~repro.core.sharding.ShardedAsteriaCache`);
-        prefetching and recalibration must be disabled — both mutate
-        engine-global state on the request path and belong to the sequential
-        and simulated modes.
+        prefetching and recalibration must be disabled (see
+        :class:`~repro.core.pipeline.Driver`).
     workers:
         Thread-pool size for :meth:`handle_concurrent` and the worker count
         for :meth:`run_closed_loop`.
@@ -119,9 +119,10 @@ class ConcurrentEngine:
         indefinitely.
 
     Thread-safety map: the sharded cache locks per shard; the remote service
-    (sequential RNG + counters) is serialised by ``_remote_lock``; metrics,
-    the eval log, and admission decisions by ``_record_lock``. The I/O pause
-    happens *outside* all locks, so workers genuinely overlap remote waits.
+    (sequential RNG + counters) is serialised by ``_remote_lock``; every
+    request-core step (metrics, the eval log, resilience and admission
+    decisions) by ``_record_lock``. Effects, and so the I/O pause, happen
+    *outside* the record lock, so workers genuinely overlap remote waits.
     """
 
     def __init__(
@@ -140,18 +141,12 @@ class ConcurrentEngine:
             raise ValueError(
                 f"follower_timeout must be > 0, got {follower_timeout}"
             )
-        if engine.prefetcher is not None or engine.recalibrator is not None:
-            raise ValueError(
-                "ConcurrentEngine requires prefetching and recalibration "
-                "disabled (both mutate engine-global state on the request "
-                "path); run those studies through the sequential engine"
-            )
+        super().__init__(engine)
         if workers > 1 and not getattr(engine.cache, "thread_safe", False):
             raise ValueError(
                 "workers > 1 needs a thread-safe cache; wrap the shards in "
                 "ShardedAsteriaCache (factory.build_concurrent_engine does)"
             )
-        self.engine = engine
         self.workers = workers
         self.singleflight = singleflight if singleflight is not None else SingleFlight()
         self.io_pause_scale = io_pause_scale
@@ -162,42 +157,18 @@ class ConcurrentEngine:
 
     # -- KnowledgeEngine-compatible surface ------------------------------------
     @property
-    def name(self) -> str:
-        return self.engine.name
-
-    @property
-    def metrics(self) -> EngineMetrics:
-        return self.engine.metrics
-
-    @property
-    def cache(self):
-        return self.engine.cache
-
-    @property
     def remote(self):
         return self.engine.remote
 
-    def set_tracer(self, tracer) -> None:
-        """Attach (or detach with None) a stage tracer; spans from worker
-        threads parent correctly because each thread carries its own
-        contextvar context and request roots reset it on exit."""
-        self.engine.set_tracer(tracer)
-
     def handle(self, query: Query, now: float = 0.0) -> EngineResponse:
         """Resolve one query on the calling thread (thread-safe)."""
-        return self._serve(query, now)
+        return self._drive(pipeline.request(self.engine, query, now))
 
     def handle_concurrent(
         self, queries: Sequence[Query], now: float = 0.0
     ) -> list[EngineResponse]:
         """Resolve a batch across the worker pool; responses in input order."""
-        queries = list(queries)
-        if not queries:
-            return []
-        if self.workers == 1:
-            return [self._serve(query, now) for query in queries]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._serve, query, now) for query in queries]
+        futures = [self._submit(self.handle, query, now) for query in queries]
         return [future.result() for future in futures]
 
     def handle_batched(
@@ -208,14 +179,12 @@ class ConcurrentEngine:
         Cacheable queries are grouped by their cache shard; each group runs
         as one worker task doing a single embed-batch + ANN search-batch
         pass (``lookup_batch``) under its shard's lock, then finishing every
-        query through the scalar hit/miss tail — single-flight miss
-        coalescing included, and it coalesces *across* shard groups because
-        the flight key is the canonical text, not the shard. Uncacheable
-        queries bypass on their own tasks. Responses return in input order.
+        query through the request core — single-flight miss coalescing
+        included, and it coalesces *across* shard groups because the flight
+        key is the canonical text, not the shard. Uncacheable queries bypass
+        on their own tasks. Responses return in input order.
         """
         queries = list(queries)
-        if not queries:
-            return []
         engine = self.engine
         shard_of = getattr(engine.cache, "shard_index", None)
         groups: dict[int, list[int]] = {}
@@ -233,38 +202,20 @@ class ConcurrentEngine:
             sine_results = engine.cache.lookup_batch(
                 group, now, ann_only=engine.config.ann_only
             )
-            tracer = engine.tracer
-            out: list[EngineResponse] = []
-            for query, sine_result in zip(group, sine_results):
-                with self._record_lock:
-                    lookup, _ = engine._lookup_record(query, sine_result)
-                if tracer is None or not tracer.sample():
-                    out.append(self._finish_lookup(query, lookup, now))
-                    continue
-                with tracer.request() as span:
-                    response = self._finish_lookup(query, lookup, now)
-                    span.attrs = {
-                        "tool": query.tool,
-                        "batched": True,
-                        "outcome": response.degraded or response.lookup.status,
-                    }
-                    out.append(response)
-            return out
+            # The group pass already answered each query's Lookup effect.
+            return [
+                self._drive(
+                    pipeline.request(engine, query, now, batched=True), sine_result
+                )
+                for query, sine_result in zip(group, sine_results)
+            ]
 
-        if self.workers == 1:
-            for positions in groups.values():
-                for position, response in zip(positions, run_group(positions)):
-                    responses[position] = response
-            for position in bypass:
-                responses[position] = self._serve(queries[position], now)
-            return responses  # type: ignore[return-value]
-        pool = self._ensure_pool()
         group_futures = [
-            (positions, pool.submit(run_group, positions))
+            (positions, self._submit(run_group, positions))
             for positions in groups.values()
         ]
         bypass_futures = [
-            (position, pool.submit(self._serve, queries[position], now))
+            (position, self._submit(self.handle, queries[position], now))
             for position in bypass
         ]
         for positions, future in group_futures:
@@ -274,232 +225,59 @@ class ConcurrentEngine:
             responses[position] = future.result()
         return responses  # type: ignore[return-value]
 
-    # -- the request path --------------------------------------------------------
-    def _serve(self, query: Query, now: float) -> EngineResponse:
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.sample():
-            return self._serve_inner(query, now)
-        with tracer.request() as span:
-            response = self._serve_inner(query, now)
-            span.attrs = {
-                "tool": query.tool,
-                "outcome": response.degraded or response.lookup.status,
-            }
-            return response
+    # -- the thread driver of the request core ----------------------------------
+    def _drive(self, core, sine_result=None):
+        """Run one core pipeline: steps under ``_record_lock``, effects
+        outside it. ``sine_result`` answers the Lookup effect when a batch
+        pass already ran it."""
+        return pipeline.drive(
+            core, lambda effect: self._apply(effect, sine_result), self._record_lock
+        )
 
-    def _serve_inner(self, query: Query, now: float) -> EngineResponse:
+    def _apply(self, effect, sine_result=None):
         engine = self.engine
-        if not engine._is_cacheable(query):
-            key = engine._resilience_key(query)
-            try:
-                fetch = self._fetch(query, now)
-            except RemoteFetchError as exc:
-                with self._record_lock:
-                    engine._account_failure(key, exc, now + exc.latency)
-                lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-                return self._degrade(
-                    query, lookup, key, now, now, wasted=exc.latency
-                )
-            engine.resilience.on_success(key, fetch, now + fetch.latency)
-            response = engine._bypass_response(fetch, fetch.latency)
-            self._record(response, query, now, shared=False)
-            return response
-        sine_result = engine.cache.lookup(query, now, ann_only=engine.config.ann_only)
-        with self._record_lock:
-            lookup, _ = engine._lookup_record(query, sine_result)
-        return self._finish_lookup(query, lookup, now)
-
-    def _finish_lookup(
-        self, query: Query, lookup: CacheLookup, now: float
-    ) -> EngineResponse:
-        """Everything after the recorded lookup: hit response, or the
-        guarded single-flight miss flight (shared by the scalar and batched
-        paths)."""
-        engine = self.engine
-        if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=lookup.latency, lookup=lookup
+        kind = type(effect)
+        if kind is pipeline.Lookup:
+            if sine_result is not None:
+                return sine_result
+            return engine.cache.lookup(
+                effect.query, effect.now, ann_only=engine.config.ann_only
             )
-            self._record(response, query, now, shared=False)
-            return response
-        start = now + lookup.latency
-        key = (query.tool, canonical_text(query.text))
-        verdict = engine.resilience.admit(key, start)
-        if verdict != "allow":
-            with self._record_lock:
-                if verdict == "negative":
-                    engine.metrics.negative_cache_hits += 1
-                else:
-                    engine.metrics.breaker_open_rejects += 1
-            return self._degrade(query, lookup, key, start, now, refresh=True)
-        try:
-            fetch, shared = self.singleflight.run(
-                key,
-                lambda: self._fetch_and_admit(query, start, key),
+        if kind is pipeline.Fetch:
+            try:
+                with self._remote_lock:
+                    fetch = engine.remote.fetch_at(effect.query, effect.at)
+            except RemoteFetchError as exc:
+                # The failed round-trip also burns wall time "on the wire".
+                self._pause(exc.latency)
+                raise
+            self._pause(fetch.latency)
+            return fetch
+        if kind is pipeline.Admit:
+            engine.cache.insert(
+                effect.query, effect.fetch, effect.arrival,
+                prefetched=effect.prefetched,
+            )
+        elif kind is pipeline.Flight:
+            return self.singleflight.run(
+                effect.key,
+                lambda: self._drive(effect.leader),
                 timeout=self.follower_timeout,
             )
-        except RemoteFetchError as exc:
-            # Leaders raise their own FetchFailed; followers re-raise the
-            # leader's (deduplicated by _account_failure's marker).
-            with self._record_lock:
-                engine._account_failure(key, exc, start + exc.latency)
-            return self._degrade(
-                query, lookup, key, start, now, wasted=exc.latency
-            )
-        response = EngineResponse(
-            result=fetch.result,
-            latency=lookup.latency + fetch.latency,
-            lookup=lookup,
-            fetch=fetch,
-        )
-        self._record(response, query, now, shared=shared)
-        return response
+        elif kind is pipeline.Sleep:
+            self._pause(effect.seconds)
+        elif kind is pipeline.Spawn:
+            # Stale-while-revalidate on the worker pool, in a copy of the
+            # request's context so its spans parent under the request root.
+            context = contextvars.copy_context()
+            self._ensure_pool().submit(context.run, self._drive, effect.task)
+        return None
 
-    def _fetch_and_admit(
-        self, query: Query, start: float, key: tuple
-    ) -> FetchResult:
-        """Leader path: remote fetch with transient-fault retries, breaker
-        accounting, then admission into the query's shard."""
-        engine = self.engine
-        tracer = engine.tracer
-        if tracer is None or not tracer.live or not tracer.active():
-            fetch, overhead, attempts = self._fetch_retrying(query, start)
-        else:
-            t0 = tracer.clock()
-            fetch, overhead, attempts = self._fetch_retrying(query, start)
-            tracer.record_leaf(
-                "remote_fetch", t0, {"retries": attempts, "cost": fetch.cost}
-            )
-        arrival = start + overhead + fetch.latency
-        engine.resilience.on_success(key, fetch, arrival)
-        with self._record_lock:
-            admit = engine._should_admit(query, fetch, arrival)
-        if admit:
-            if tracer is None or not tracer.live:
-                engine.cache.insert(query, fetch, arrival)
-            else:
-                with tracer.span("admit"):
-                    engine.cache.insert(query, fetch, arrival)
-        return fetch
-
-    def _fetch_retrying(
-        self, query: Query, start: float
-    ) -> tuple[FetchResult, float, int]:
-        """The transient-fault retry loop around :meth:`_fetch`; returns the
-        fetch, the simulated overhead accrued by failed attempts and backoff,
-        and the number of retries taken."""
-        engine = self.engine
-        overhead = 0.0
-        attempt = 0
-        while True:
-            try:
-                return self._fetch(query, start + overhead), overhead, attempt
-            except InjectedFault as exc:
-                overhead += exc.latency
-                if attempt >= engine.resilience.retry_policy.max_retries:
-                    raise FetchFailed(
-                        f"retries exhausted after {attempt + 1} attempts: {exc}",
-                        latency=overhead,
-                        cause=exc,
-                    ) from exc
-                delay = engine.resilience.next_delay(attempt)
-                overhead += delay
-                if self.io_pause_scale > 0 and delay > 0:
-                    time.sleep(delay * self.io_pause_scale)
-                attempt += 1
-            except RemoteFetchError as exc:
-                raise FetchFailed(
-                    f"non-retryable fetch failure: {exc}",
-                    latency=overhead + exc.latency,
-                    cause=exc,
-                ) from exc
-
-    def _fetch(self, query: Query, start: float) -> FetchResult:
-        try:
-            with self._remote_lock:
-                fetch = self.engine.remote.fetch_at(query, start)
-        except RemoteFetchError as exc:
-            if self.io_pause_scale > 0 and exc.latency > 0:
-                # The failed round-trip also burns wall time "on the wire".
-                time.sleep(exc.latency * self.io_pause_scale)
-            raise
-        if self.io_pause_scale > 0:
-            # Real blocking I/O stand-in; sleeps release the GIL, so other
-            # workers keep serving while this fetch is "on the wire".
-            time.sleep(fetch.latency * self.io_pause_scale)
-        return fetch
-
-    def _degrade(
-        self,
-        query: Query,
-        lookup: CacheLookup,
-        key: tuple,
-        at: float,
-        now: float,
-        wasted: float = 0.0,
-        refresh: bool = False,
-    ) -> EngineResponse:
-        """Stale/failed fallback for a refused or failed miss flight; a
-        stale serve may also schedule a background revalidation flight."""
-        engine = self.engine
-        entry = engine.resilience.stale_for(key, at + wasted)
-        if entry is not None:
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-        else:
-            response = EngineResponse(
-                result="",
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="failed",
-            )
-        with self._record_lock:
-            if entry is not None:
-                engine.metrics.stale_hits += 1
-            else:
-                engine.metrics.failed_requests += 1
-            engine._record_degraded(response, query, now)
-        if entry is not None and refresh and engine.resilience.allow_probe(at):
-            self._spawn_refresh(query, key, at)
-        return response
-
-    def _spawn_refresh(self, query: Query, key: tuple, start: float) -> None:
-        """Stale-while-revalidate: refresh on the worker pool, off the
-        caller's latency path, coalesced with any foreground flight."""
-        with self._record_lock:
-            self.engine.metrics.background_refreshes += 1
-        self._ensure_pool().submit(self._refresh, query, key, start)
-
-    def _refresh(self, query: Query, key: tuple, start: float) -> None:
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.sample():
-            self._refresh_inner(query, key, start)
-        else:
-            # Pool threads have no request context; the refresh becomes its
-            # own root span (request() semantics without the request name).
-            with tracer.request("stale_refresh", tool=query.tool):
-                self._refresh_inner(query, key, start)
-
-    def _refresh_inner(self, query: Query, key: tuple, start: float) -> None:
-        try:
-            self.singleflight.run(
-                key, lambda: self._fetch_and_admit(query, start, key)
-            )
-        except RemoteFetchError as exc:
-            with self._record_lock:
-                self.engine._account_failure(key, exc, start + exc.latency)
-
-    def _record(
-        self, response: EngineResponse, query: Query, now: float, shared: bool
-    ) -> None:
-        with self._record_lock:
-            if shared:
-                self.engine.metrics.coalesced_misses += 1
-            self.engine._record_response(response, query, now)
+    def _pause(self, simulated: float) -> None:
+        """Real blocking I/O stand-in: sleeps release the GIL, so other
+        workers keep serving while this one is "on the wire"."""
+        if self.io_pause_scale > 0 and simulated > 0:
+            time.sleep(simulated * self.io_pause_scale)
 
     # -- closed-loop load generation ---------------------------------------------
     def run_closed_loop(
@@ -536,7 +314,7 @@ class ConcurrentEngine:
                 if i >= n:
                     return
                 try:
-                    self._serve(queries[i], start + i * time_step)
+                    self.handle(queries[i], start + i * time_step)
                     next(served)  # atomic served-count bump
                 except BaseException as exc:  # surface, don't hang the join
                     errors.append(exc)
@@ -579,6 +357,14 @@ class ConcurrentEngine:
         )
 
     # -- lifecycle ----------------------------------------------------------------
+    def _submit(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the pool, or inline when ``workers == 1``."""
+        if self.workers > 1:
+            return self._ensure_pool().submit(fn, *args)
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(

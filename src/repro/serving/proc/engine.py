@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import time
 
+from repro.core import pipeline
 from repro.core.config import AsteriaConfig
 from repro.core.engine import AsteriaEngine, EngineResponse
 from repro.core.metrics import EngineMetrics  # noqa: F401  (re-exported docs)
 from repro.core.resilience import CircuitBreaker, ResilienceManager
-from repro.core.types import CacheLookup
-from repro.network.remote import RemoteDataService, RemoteFetchError
+from repro.network.remote import RemoteDataService
 from repro.obs.distributed import make_span_sink, trace_context
 from repro.serving.aio.engine import AsyncAsteriaEngine, AsyncOutcome
 from repro.serving.aio.remote import AsyncRemoteService
@@ -203,8 +203,8 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         return self.shard_breakers[shard].allow(now)
 
     # -- the two cache access points ------------------------------------------
-    async def _sine_lookup(self, query, now, prepared=None):
-        # `prepared` (the in-process stage-1 snapshot) never applies here:
+    async def _sine_lookup(self, query, now, hits=None):
+        # `hits` (the in-process stage-1 snapshot) never applies here:
         # frame-level accumulation in the ShardClient is the batching tier.
         # `ctx` carries the current request span's identity across the
         # process boundary (None on untraced/unsampled traffic — the frame
@@ -228,7 +228,7 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
             self._shard_failure(self.pool.shard_for(query.text), exc)
 
     # -- serving ----------------------------------------------------------------
-    async def _serve_outer(self, query, now, deadline, serve=None) -> AsyncOutcome:
+    async def _serve_outer(self, query, now, deadline, serve) -> AsyncOutcome:
         if not self.pool.attached:
             await self.pool.attach()
         return await super()._serve_outer(query, now, deadline, serve=serve)
@@ -237,8 +237,9 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         """The inherited serve path wrapped in this shard's fault domain.
 
         Cacheable requests consult their target shard's breaker first: a
-        known-dead shard routes straight to the degraded path without
-        touching the wire. A WorkerError escaping the inherited path (the
+        known-dead shard routes straight to the core's stale-first
+        shard-down ladder (:func:`~repro.core.pipeline.serve_shard_down`)
+        without touching the wire. A WorkerError escaping the inherited path (the
         shard died under this request) is charged to the shard's domain and
         the request completes degraded — a raw WorkerError never reaches
         ``serve()``'s caller while fault domains are on.
@@ -251,72 +252,18 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         shard = self.pool.shard_for(query.text)
         breaker = self.shard_breakers[shard]
         if not self._shard_allow(shard, time.monotonic()):
-            return await self._serve_shard_down(query, shard, now)
+            return await self._drive(pipeline.serve_shard_down(engine, query, now))
         try:
             response = await super()._serve(query, now, prepared=prepared)
         except WorkerError as exc:
             self._shard_failure(shard, exc)
-            return await self._serve_shard_down(query, shard, now)
+            return await self._drive(pipeline.serve_shard_down(engine, query, now))
         # Closed-state successes aren't recorded (a 1-slot window needs no
         # success history); a granted half-open probe that came back is the
         # recovery signal that re-closes an unsupervised breaker.
         if breaker.state != "closed":
             breaker.record_success(time.monotonic())
         return response
-
-    async def _serve_shard_down(self, query, shard: int, now: float) -> EngineResponse:
-        """Per-domain degradation for a dead/recovering shard.
-
-        Decision ladder: last-known-good stale hit if the StaleStore has
-        one; else a direct remote fetch that bypasses the cache (gated by
-        the *global* resilience admission, still single-flighted, counted in
-        ``shard_down_fetches``); else an explicit failure. Healthy shards
-        never see this path.
-        """
-        engine = self.engine
-        key = engine._resilience_key(query)
-        lookup = CacheLookup(status="miss", result=None, latency=0.0)
-        entry = engine.resilience.stale_for(key, now)
-        if entry is not None:
-            engine.metrics.stale_hits += 1
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-            engine._record_degraded(response, query, now)
-            return response
-        verdict = engine.resilience.admit(key, now)
-        if verdict != "allow":
-            # The backend is in trouble too (negative-cached key or open
-            # global breaker): no bypass fetch, fall through to failed.
-            if verdict == "negative":
-                engine.metrics.negative_cache_hits += 1
-            else:
-                engine.metrics.breaker_open_rejects += 1
-            return self._degrade(query, lookup, key, now, now)
-        self.metrics.shard_down_fetches += 1
-        try:
-            fetch, shared = await self.singleflight.run(
-                key,
-                lambda: self._fetch_bypass(query, now, key),
-                timeout=self.follower_timeout,
-            )
-        except RemoteFetchError as exc:
-            engine._account_failure(key, exc, now + exc.latency)
-            return self._degrade(query, lookup, key, now, now, wasted=exc.latency)
-        response = engine._bypass_response(fetch, fetch.latency)
-        self._record(response, query, now, shared=shared)
-        return response
-
-    async def _fetch_bypass(self, query, start: float, key) -> "object":
-        """Leader flight for a shard-down request: retrying remote fetch,
-        success banked as last-known-good, *no* cache admission (the shard
-        that would hold it is down)."""
-        fetch, overhead, _ = await self._fetch_retrying(query, start)
-        self.engine.resilience.on_success(key, fetch, start + overhead + fetch.latency)
-        return fetch
 
     async def serve_batched(self, query, now: float = 0.0, deadline=None):
         """Batching happens per shard at the wire (the ShardClient's

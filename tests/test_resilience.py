@@ -1,18 +1,20 @@
 """Tests for the fault-tolerance layer: breaker, stores, retries, engine."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.core import AsteriaConfig, Query
 from repro.core.resilience import (
     CircuitBreaker,
-    FetchFailed,
     NegativeCache,
     ResilienceManager,
     StaleStore,
 )
 from repro.factory import (
     build_asteria_engine,
+    build_async_engine,
     build_concurrent_engine,
     build_remote,
 )
@@ -154,15 +156,49 @@ class TestStaleStore:
         assert store.get("a", 4.0) is not None
 
 
-class TestFetchWithRetries:
-    def manager(self) -> ResilienceManager:
-        return ResilienceManager()  # default policy: 2 retries, 50 ms base
+def _serve_through(driver: str, fetch_at, now: float):
+    """One cold miss through ``driver`` with the remote's ``fetch_at``
+    replaced; returns ``(metrics, response or None when degraded)``.
 
-    def test_transient_faults_retried_with_backoff(self):
-        manager = self.manager()
+    The lookup costs no simulated time (``ann_latency=0``), so the first
+    fetch attempt starts exactly at ``now``.
+    """
+    config = AsteriaConfig(ann_latency=0.0)
+    query = Query("completely distinct alpha topic", fact_id="F")
+    if driver == "analytic":
+        engine = build_asteria_engine(build_remote(latency=0.4), config=config)
+        engine.remote.fetch_at = fetch_at
+        response = engine.handle(query, now)
+    elif driver == "thread":
+        # A real pause scale, so backoffs run as wall-clock Sleep effects.
+        engine = build_concurrent_engine(
+            build_remote(latency=0.4),
+            config=config,
+            shards=1,
+            workers=1,
+            io_pause_scale=0.01,
+        )
+        engine.remote.fetch_at = fetch_at
+        with engine:
+            response = engine.handle(query, now)
+    else:
+        engine = build_async_engine(build_remote(latency=0.4), config=config, shards=1)
+        engine.engine.remote.fetch_at = fetch_at
+        response = asyncio.run(engine.serve(query, now)).response
+    if response is not None and response.degraded is not None:
+        response = None
+    return engine.metrics, response
+
+
+@pytest.mark.parametrize("driver", ["analytic", "thread", "async"])
+class TestFetchWithRetries:
+    """The request core's one transient-fault retry loop, under each driver
+    (default policy: 2 retries, 50 ms base backoff)."""
+
+    def test_transient_faults_retried_with_backoff(self, driver):
         calls = []
 
-        def fetch(now):
+        def fetch(query, now):
             calls.append(now)
             if len(calls) < 3:
                 raise RemoteUnavailable("flaky", latency=0.1)
@@ -170,36 +206,38 @@ class TestFetchWithRetries:
                 result="ok", latency=0.4, service_latency=0.4, cost=0.0
             )
 
-        fetch_result, overhead = manager.fetch_with_retries(fetch, start=10.0)
-        assert fetch_result.result == "ok"
-        # two failures (0.1 each) plus backoffs 0.05 and 0.1
-        assert overhead == pytest.approx(0.35)
+        metrics, response = _serve_through(driver, fetch, now=10.0)
+        assert response.result == "ok"
+        # two failures (0.1 each) plus backoffs 0.05 and 0.1 before the 0.4
+        assert response.latency - response.fetch.latency == pytest.approx(0.35)
         assert calls == pytest.approx([10.0, 10.15, 10.35])
+        assert metrics.fetch_failures == 0
 
-    def test_exhausted_retries_raise_fetch_failed_with_total_waste(self):
-        manager = self.manager()
-
-        def fetch(now):
-            raise RemoteUnavailable("down", latency=0.1)
-
-        with pytest.raises(FetchFailed) as info:
-            manager.fetch_with_retries(fetch, start=0.0)
-        assert info.value.latency == pytest.approx(0.45)  # 3 x 0.1 + 0.15
-        assert isinstance(info.value.cause, RemoteUnavailable)
-
-    def test_rate_limit_is_not_retried(self):
-        manager = self.manager()
+    def test_exhausted_retries_degrade_with_waste(self, driver):
         calls = []
 
-        def fetch(now):
+        def fetch(query, now):
+            calls.append(now)
+            raise RemoteUnavailable("down", latency=0.1)
+
+        metrics, response = _serve_through(driver, fetch, now=0.0)
+        assert response is None
+        assert len(calls) == 3
+        assert metrics.failed_requests == metrics.fetch_failures == 1
+        assert metrics.degraded_latency.mean == pytest.approx(0.45)  # 3 x 0.1 + 0.15
+
+    def test_rate_limit_is_not_retried(self, driver):
+        calls = []
+
+        def fetch(query, now):
             calls.append(now)
             raise RateLimitExceeded("throttled", latency=0.2)
 
-        with pytest.raises(FetchFailed) as info:
-            manager.fetch_with_retries(fetch, start=0.0)
+        metrics, response = _serve_through(driver, fetch, now=0.0)
+        assert response is None
         assert len(calls) == 1
-        assert info.value.latency == pytest.approx(0.2)
-        assert isinstance(info.value.cause, RateLimitExceeded)
+        assert metrics.failed_requests == metrics.fetch_failures == 1
+        assert metrics.degraded_latency.mean == pytest.approx(0.2)
 
 
 def make_engine(fault_injector=None, config=None, resilience=None, seed=0):
